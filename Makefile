@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-all chaos crash bench bench-parallel bench-hotpath bench-reuse bench-optimizer bench-serve bench-scale bench-live serve-smoke benchdiff profile vet verify
+.PHONY: build test race race-all chaos crash fuzz bench bench-parallel bench-hotpath bench-reuse bench-optimizer bench-serve bench-scale bench-live serve-smoke benchdiff profile vet verify
 
 build:
 	$(GO) build ./...
@@ -17,13 +17,15 @@ vet:
 race:
 	$(GO) test -race ./internal/engine/... ./internal/assistant/... ./internal/server/...
 
-# The pre-merge gate: vet, the race run over the concurrent core, and the
-# full tier-1 suite. Bench-heavy tests honour -short, so this stays fast.
+# The pre-merge gate: vet, the race run over the concurrent core, the
+# full tier-1 suite, the crash-injection suite, and the fuzz smoke.
+# Bench-heavy tests honour -short, so this stays fast.
 verify:
 	$(GO) vet ./...
 	$(GO) test -short -race ./internal/engine/... ./internal/assistant/... ./internal/server/...
 	$(GO) build ./...
 	$(GO) test -short ./...
+	$(MAKE) crash fuzz
 
 # Full race-detector run, including the root determinism tests.
 race-all:
@@ -39,6 +41,16 @@ chaos:
 # every surviving state must reopen as exactly generation G or G+1.
 crash:
 	$(GO) test -run Crash -race ./internal/...
+
+# Differential fuzz smoke: each allocation-free kernel against the
+# implementation it replaced, kept in its test file as the reference.
+# go test fuzzes one target of one package per run.
+FUZZTIME ?= 5s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzJaccardTokens$$' -fuzztime $(FUZZTIME) ./internal/similarity
+	$(GO) test -run '^$$' -fuzz '^FuzzParseNumeric$$' -fuzztime $(FUZZTIME) ./internal/text
+	$(GO) test -run '^$$' -fuzz '^FuzzNormalizeSpace$$' -fuzztime $(FUZZTIME) ./internal/text
+	$(GO) test -run '^$$' -fuzz '^FuzzCompareOperand$$' -fuzztime $(FUZZTIME) ./internal/engine
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .

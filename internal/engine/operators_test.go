@@ -34,7 +34,7 @@ func TestCompareOperandsTable(t *testing.T) {
 		{alog.OpNE, num(1), str("1"), true},
 	}
 	for _, c := range cases {
-		got, err := compareOperands(c.op, c.a, c.b)
+		got, err := compareOperands(c.op, &c.a, &c.b)
 		if err != nil || got != c.want {
 			t.Errorf("compare(%v %s %v) = %v, %v; want %v", c.a, c.op, c.b, got, err, c.want)
 		}
@@ -46,7 +46,7 @@ func TestSpanOperandClassification(t *testing.T) {
 	if op := spanOperand(d.Span(0, 2)); !op.isNum || op.num != 42 {
 		t.Errorf("numeric operand = %+v", op)
 	}
-	if op := spanOperand(d.Span(3, 8)); op.isNum || op.str != "hello" {
+	if op := spanOperand(d.Span(3, 8)); op.isNum || op.norm() != "hello" {
 		t.Errorf("string operand = %+v", op)
 	}
 	if op := spanOperand(d.Span(9, 9)); !op.isNull {

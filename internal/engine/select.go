@@ -528,17 +528,7 @@ func (n *compareNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compac
 	}
 	op := n.cmp.Op
 	offset := n.cmp.ROffset
-	// withOffset applies the rule's numeric offset to the right operand;
-	// offsets only apply to numeric right sides.
-	compare := func(l, r operand) (bool, error) {
-		if offset != 0 {
-			if !r.isNum {
-				return false, nil
-			}
-			r.num += offset
-		}
-		return compareOperands(op, l, r)
-	}
+	compare := func(l, r *operand) (bool, error) { return compareAt(op, offset, l, r) }
 	lVar, rVar := n.cmp.L.Kind == alog.TermVar, n.cmp.R.Kind == alog.TermVar
 	switch {
 	case lVar && rVar:
@@ -558,7 +548,7 @@ func (n *compareNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compac
 				}
 				return func(idx []int) (bool, error) {
 					batch.funcCalls++
-					return compare(lops[idx[0]], rops[idx[1]])
+					return compare(&lops[idx[0]], &rops[idx[1]])
 				}, nil
 			},
 		}
@@ -568,19 +558,22 @@ func (n *compareNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compac
 		involved := []int{colIndex(in.Cols, n.cmp.L.Var)}
 		r := constTerm(n.cmp.R)
 		fp := factoredPred{cols: []colPred{func(v text.Span) (bool, error) {
-			return compare(spanOperand(v), r)
+			l, r := spanOperand(v), r
+			return compare(&l, &r)
 		}}}
 		return applyFilter(ctx, ev, dx, in, involved, fp)
 	case rVar:
 		involved := []int{colIndex(in.Cols, n.cmp.R.Var)}
 		l := constTerm(n.cmp.L)
 		fp := factoredPred{cols: []colPred{func(v text.Span) (bool, error) {
-			return compare(l, spanOperand(v))
+			l, r := l, spanOperand(v)
+			return compare(&l, &r)
 		}}}
 		return applyFilter(ctx, ev, dx, in, involved, fp)
 	default:
 		// const ⋈ const: one evaluation decides every tuple.
-		ok, err := compare(constTerm(n.cmp.L), constTerm(n.cmp.R))
+		l, r := constTerm(n.cmp.L), constTerm(n.cmp.R)
+		ok, err := compare(&l, &r)
 		if err != nil {
 			return nil, err
 		}
@@ -592,31 +585,63 @@ func (n *compareNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compac
 	}
 }
 
-// operand is one side of a comparison at valuation time.
+// operand is one side of a comparison at valuation time. A value that is
+// neither a number nor NULL keeps its raw text and is whitespace-normalized
+// on its first string-to-string comparison (see norm), so values compared
+// only as numbers, against NULL or across types are never normalized, and
+// a prepared operand is normalized at most once.
 type operand struct {
 	isNum  bool
 	num    float64
 	str    string
 	isNull bool
+	raw    bool // str is the value's text, not yet whitespace-normalized
+}
+
+// norm returns the operand's comparison string, normalizing a value's raw
+// text in place on first use. An operand is owned by one evaluation at a
+// time (prepared per tuple, or built per call), so the write needs no lock.
+func (o *operand) norm() string {
+	if o.raw {
+		o.str, o.raw = text.NormalizeSpace(o.str), false
+	}
+	return o.str
 }
 
 // spanOperand converts a value span: numeric when it parses, NULL when
-// empty, string otherwise.
+// its normalized text would be empty, string otherwise. Neither test
+// allocates: ParseNumeric rejects non-numbers before parsing, and a value
+// is NULL exactly when every rune is whitespace (text.IsBlank), which is
+// when NormalizeSpace would return "". The string is left raw for norm.
 func spanOperand(s text.Span) operand {
-	if n, ok := s.Numeric(); ok {
+	t := s.Text()
+	if n, ok := text.ParseNumeric(t); ok {
 		return operand{isNum: true, num: n}
 	}
-	t := s.NormText()
-	if t == "" {
+	if text.IsBlank(t) {
 		return operand{isNull: true}
 	}
-	return operand{str: t}
+	return operand{str: t, raw: true}
+}
+
+// compareAt compares l and r after applying a rule's numeric offset to the
+// right operand; an offset only applies to a numeric right side, and any
+// other right side fails the comparison.
+func compareAt(op alog.CompareOp, offset float64, l, r *operand) (bool, error) {
+	if offset != 0 {
+		if !r.isNum {
+			return false, nil
+		}
+		shifted := operand{isNum: true, num: r.num + offset}
+		r = &shifted
+	}
+	return compareOperands(op, l, r)
 }
 
 // compareOperands implements the comparison semantics: NULL equals only
 // NULL and is ordered below everything; numbers compare numerically;
 // otherwise strings compare lexically.
-func compareOperands(op alog.CompareOp, a, b operand) (bool, error) {
+func compareOperands(op alog.CompareOp, a, b *operand) (bool, error) {
 	if a.isNull || b.isNull {
 		eq := a.isNull && b.isNull
 		switch op {
@@ -637,7 +662,7 @@ func compareOperands(op alog.CompareOp, a, b operand) (bool, error) {
 			c = 1
 		}
 	} else if !a.isNum && !b.isNum {
-		c = strings.Compare(a.str, b.str)
+		c = strings.Compare(a.norm(), b.norm())
 	} else {
 		// Mixed number/string never compares equal and has no order.
 		if op == alog.OpNE {
@@ -773,7 +798,11 @@ func sharesToken(a, b []string) bool {
 // equality, token-prefix containment, Jaccard >= 0.6) requires at least
 // one shared token — the same guarantee the join blocking rests on — so
 // a cheap shared-token check rejects most pairs before the full
-// similarity computation runs (and is counted).
+// similarity computation runs (and is counted). Both steps are
+// allocation-free over the prepared token slices: the prefilter is a
+// nested scan, and the built-in verify step counts the Jaccard overlap by
+// scan too, dividing the same two integers the set-based count did, so
+// every keep/reject decision and every counted call is unchanged.
 func tokenResidual(tokenFn func(a, b []string) bool, ltoks, rtoks [][]string, batch *statBatch) idxPred {
 	return func(idx []int) (bool, error) {
 		l, r := ltoks[idx[0]], rtoks[idx[1]]

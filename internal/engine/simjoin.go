@@ -127,10 +127,7 @@ func (idx *blockIndex) candidates(tok string) []int {
 	ords, aok := idx.post.TokenPostings(tok)
 	var out []int
 	if !aok {
-		out = make([]int, idx.nTup)
-		for i := range out {
-			out[i] = i
-		}
+		out = allRows(idx.nTup)
 	} else {
 		for _, o := range ords {
 			if o >= 0 && o < len(idx.tupOf) && idx.tupOf[o] >= 0 {
@@ -226,32 +223,9 @@ func (n *simJoinNode) rightIndex(ctx *Context, ev *EvalTrace, rt *compact.Table,
 	if idx != nil {
 		statAdd(&ctx.Stats.BlockIdxPostings, 1)
 	} else {
-		idx = &blockIndex{byToken: map[string][]int{}}
-		var qn int64
-		for j, rtp := range rt.Tuples {
-			var toks map[string]bool
-			cell := rtp.Cells[ri]
-			qed, gerr := ctx.guard(ev, "blockindex", cellDocs(cell), func() error {
-				toks = blockTokens(ctx, cell)
-				return nil
-			})
-			if gerr != nil {
-				return nil, gerr
-			}
-			if qed {
-				qn++
-				continue
-			}
-			if toks == nil {
-				idx.always = append(idx.always, j)
-				continue
-			}
-			for tok := range toks {
-				idx.byToken[tok] = append(idx.byToken[tok], j)
-			}
-		}
-		if qn > 0 {
-			return nil, quarantineErr("blockindex", qn)
+		var err error
+		if idx, err = tokenBlockIndex(ctx, ev, rt, ri, allRows(len(rt.Tuples))); err != nil {
+			return nil, err
 		}
 	}
 	ctx.mu.Lock()
@@ -263,6 +237,73 @@ func (n *simJoinNode) rightIndex(ctx *Context, ev *EvalTrace, rt *compact.Table,
 	}
 	ctx.mu.Unlock()
 	return idx, nil
+}
+
+// tokenBlockIndex builds the token->tuples blocking index over the join
+// cells of the right tuples listed in rows. Each cell tokenizes under a
+// quarantine guard: a page that faults while being indexed is quarantined
+// and the build fails with a quarantine error, so the pass restarts over
+// the survivors and a partial index is never used.
+func tokenBlockIndex(ctx *Context, ev *EvalTrace, rt *compact.Table, ri int, rows []int) (*blockIndex, error) {
+	idx := &blockIndex{byToken: map[string][]int{}}
+	var qn int64
+	for _, j := range rows {
+		cell := rt.Tuples[j].Cells[ri]
+		var toks map[string]bool
+		qed, gerr := ctx.guard(ev, "blockindex", cellDocs(cell), func() error {
+			toks = blockTokens(ctx, cell)
+			return nil
+		})
+		if gerr != nil {
+			return nil, gerr
+		}
+		if qed {
+			qn++
+			continue
+		}
+		if toks == nil {
+			idx.always = append(idx.always, j)
+			continue
+		}
+		for tok := range toks {
+			idx.byToken[tok] = append(idx.byToken[tok], j)
+		}
+	}
+	if qn > 0 {
+		return nil, quarantineErr("blockindex", qn)
+	}
+	return idx, nil
+}
+
+// allRows lists the tuple indices 0..n-1.
+func allRows(n int) []int {
+	rows := make([]int, n)
+	for i := range rows {
+		rows[i] = i
+	}
+	return rows
+}
+
+// probeCandidates merges the candidates of every block token of a left
+// cell with the index's always-candidates, deduplicated through the
+// caller's seen map under generation gen, in ascending right-tuple order
+// (the token set is a map, so sorting also fixes the output order).
+func probeCandidates(idx *blockIndex, ltoks map[string]bool, seen map[int]int, gen int) []int {
+	var cands []int
+	add := func(js []int) {
+		for _, j := range js {
+			if seen[j] != gen {
+				seen[j] = gen
+				cands = append(cands, j)
+			}
+		}
+	}
+	for tok := range ltoks {
+		add(idx.candidates(tok))
+	}
+	add(idx.always)
+	sort.Ints(cands)
+	return cands
 }
 
 func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compact.Table, error) {
@@ -284,7 +325,6 @@ func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compac
 	if err != nil {
 		return nil, err
 	}
-	always := idx.always
 
 	// Fast path for pinned cells: compare pre-normalised token slices when
 	// the p-function has a token implementation with identical semantics.
@@ -314,6 +354,19 @@ func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compac
 			return similarity.NormalizedTokens(v.NormText())
 		}
 		return nil
+	}
+	// leftTokens tokenizes a left join cell for probing: its blocking set
+	// and its pinned token slice. Tokenizing can page the document in; a
+	// load fault quarantines the cell's documents (qed) and the caller
+	// drops the tuple, like a faulting candidate pair. Site "blockindex"
+	// (single-document attribution), never "pfunc".
+	leftTokens := func(lcell compact.Cell) (ltoks map[string]bool, lpinned []string, qed bool, err error) {
+		qed, err = ctx.guard(ev, "blockindex", cellDocs(lcell), func() error {
+			ltoks = blockTokens(ctx, lcell)
+			lpinned = singletonTokens(lcell)
+			return nil
+		})
+		return ltoks, lpinned, qed, err
 	}
 	// Tokenizing a right cell can page its document in and fault; guard
 	// each so a corrupt page quarantines (restarting the pass without it)
@@ -385,32 +438,8 @@ func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compac
 		if cp := dx.corpusSimPrior([]int{li}); cp != nil {
 			if rec = buildSimRecon(cp.right, rt); rec != nil {
 				prior = cp
-				freshIdx = &blockIndex{byToken: map[string][]int{}}
-				var qn int64
-				for _, j := range rec.fresh {
-					cell := rt.Tuples[j].Cells[ri]
-					var toks map[string]bool
-					qed, gerr := ctx.guard(ev, "blockindex", cellDocs(cell), func() error {
-						toks = blockTokens(ctx, cell)
-						return nil
-					})
-					if gerr != nil {
-						return nil, gerr
-					}
-					if qed {
-						qn++
-						continue
-					}
-					if toks == nil {
-						freshIdx.always = append(freshIdx.always, j)
-						continue
-					}
-					for tok := range toks {
-						freshIdx.byToken[tok] = append(freshIdx.byToken[tok], j)
-					}
-				}
-				if qn > 0 {
-					return nil, quarantineErr("blockindex", qn)
+				if freshIdx, err = tokenBlockIndex(ctx, ev, rt, ri, rec.fresh); err != nil {
+					return nil, err
 				}
 			}
 		}
@@ -559,14 +588,7 @@ func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compac
 						}
 					}
 					fb := old.fallbacks
-					var ltoks map[string]bool
-					var lpinned []string
-					lcell := ltp.Cells[li]
-					qed, gerr := ctx.guard(ev, "blockindex", cellDocs(lcell), func() error {
-						ltoks = blockTokens(ctx, lcell)
-						lpinned = singletonTokens(lcell)
-						return nil
-					})
+					ltoks, lpinned, qed, gerr := leftTokens(ltp.Cells[li])
 					if gerr != nil {
 						return gerr
 					}
@@ -575,28 +597,12 @@ func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compac
 						continue
 					}
 					gen++
-					var cands []int
-					if ltoks == nil {
-						// Oversized left cell: every fresh right tuple is a
-						// candidate (the replayed fallback count already
-						// charged the oversize from the prior evaluation).
-						cands = append(cands, rec.fresh...)
-					} else {
-						for tok := range ltoks {
-							for _, j := range freshIdx.byToken[tok] {
-								if seen[j] != gen {
-									seen[j] = gen
-									cands = append(cands, j)
-								}
-							}
-						}
-						for _, j := range freshIdx.always {
-							if seen[j] != gen {
-								seen[j] = gen
-								cands = append(cands, j)
-							}
-						}
-						sort.Ints(cands)
+					// An oversized left cell (nil ltoks) takes every fresh
+					// right tuple; the replayed fallback count already
+					// charged the oversize from the prior evaluation.
+					cands := rec.fresh
+					if ltoks != nil {
+						cands = probeCandidates(freshIdx, ltoks, seen, gen)
 					}
 					for _, j := range cands {
 						m, keep, fbp, qed, gerr := evalPairAt(ltp, lpinned, j)
@@ -630,19 +636,7 @@ func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compac
 			batch.tuplesRecomputed++
 			var fb int32
 			gen++
-			var cands []int
-			// Tokenizing the left cell (blocking set and pinned fast path)
-			// can page its document in; a load fault quarantines the tuple's
-			// documents and drops it, like a faulting candidate pair. Site
-			// "blockindex" (single-document attribution), never "pfunc".
-			var ltoks map[string]bool
-			var lpinned []string
-			lcell := ltp.Cells[li]
-			qed, gerr := ctx.guard(ev, "blockindex", cellDocs(lcell), func() error {
-				ltoks = blockTokens(ctx, lcell)
-				lpinned = singletonTokens(lcell)
-				return nil
-			})
+			ltoks, lpinned, qed, gerr := leftTokens(ltp.Cells[li])
 			if gerr != nil {
 				return gerr
 			}
@@ -650,32 +644,16 @@ func (n *simJoinNode) eval(ctx *Context, ev *EvalTrace, dx *deltaState) (*compac
 				nq.Add(1)
 				continue
 			}
+			var cands []int
 			if ltoks == nil {
 				// Oversized left cell: every right tuple is a candidate.
 				// (Counted as a fallback only on the probe side — the index
 				// side is built by whichever goroutine wins a benign race,
 				// so counting there would vary with the worker count.)
 				fb++
-				cands = make([]int, len(rt.Tuples))
-				for j := range rt.Tuples {
-					cands[j] = j
-				}
+				cands = allRows(len(rt.Tuples))
 			} else {
-				for tok := range ltoks {
-					for _, j := range idx.candidates(tok) {
-						if seen[j] != gen {
-							seen[j] = gen
-							cands = append(cands, j)
-						}
-					}
-				}
-				for _, j := range always {
-					if seen[j] != gen {
-						seen[j] = gen
-						cands = append(cands, j)
-					}
-				}
-				sort.Ints(cands)
+				cands = probeCandidates(idx, ltoks, seen, gen)
 			}
 			for _, j := range cands {
 				m, keep, fbp, qed, gerr := evalPairAt(ltp, lpinned, j)

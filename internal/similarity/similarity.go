@@ -50,27 +50,7 @@ func Normalize(s string) string {
 
 // Jaccard returns |A∩B| / |A∪B| over the token sets of a and b.
 // Two empty strings have similarity 0.
-func Jaccard(a, b string) float64 {
-	as, bs := Tokens(a), Tokens(b)
-	if len(as) == 0 || len(bs) == 0 {
-		return 0
-	}
-	set := make(map[string]uint8, len(as)+len(bs))
-	for _, t := range as {
-		set[t] |= 1
-	}
-	for _, t := range bs {
-		set[t] |= 2
-	}
-	inter, union := 0, 0
-	for _, m := range set {
-		union++
-		if m == 3 {
-			inter++
-		}
-	}
-	return float64(inter) / float64(union)
-}
+func Jaccard(a, b string) float64 { return jaccardTokens(Tokens(a), Tokens(b)) }
 
 // TFIDF holds document frequencies learned from a corpus of strings and
 // scores pairs with cosine similarity of TF/IDF vectors.
@@ -176,11 +156,55 @@ func normTokens(s string) []string {
 	return toks
 }
 
-// jaccardTokens computes Jaccard overlap over token slices.
+// jaccardScanMax bounds the combined slice length that jaccardTokens
+// counts by nested scan, whose cost grows with the square of the length;
+// longer inputs, such as whole-page token lists, use a map. Extracted
+// values are a handful of words and stay on the scan.
+const jaccardScanMax = 64
+
+// jaccardTokens computes Jaccard overlap over token slices: the number of
+// distinct tokens in both over the number of distinct tokens in either.
+// Short inputs are counted by nested scan with in-slice deduplication
+// (a token counts once, at its first occurrence), so the kernel allocates
+// nothing; the map path counts the same two integers. Either way the
+// result is the same float64(inter)/float64(union) division, so threshold
+// decisions such as SimilarTokens' >= DefaultThreshold are identical.
 func jaccardTokens(as, bs []string) float64 {
 	if len(as) == 0 || len(bs) == 0 {
 		return 0
 	}
+	var inter, union int
+	if len(as)+len(bs) <= jaccardScanMax {
+		inter, union = scanOverlap(as, bs)
+	} else {
+		inter, union = mapOverlap(as, bs)
+	}
+	return float64(inter) / float64(union)
+}
+
+// scanOverlap counts |A∩B| and |A∪B| of two token slices without
+// allocating.
+func scanOverlap(as, bs []string) (inter, union int) {
+	for i, t := range as {
+		if !contains(as[:i], t) {
+			union++
+		}
+	}
+	for j, t := range bs {
+		if contains(bs[:j], t) {
+			continue
+		}
+		if contains(as, t) {
+			inter++
+		} else {
+			union++
+		}
+	}
+	return inter, union
+}
+
+// mapOverlap counts |A∩B| and |A∪B| of two token slices with a set.
+func mapOverlap(as, bs []string) (inter, union int) {
 	set := make(map[string]uint8, len(as)+len(bs))
 	for _, t := range as {
 		set[t] |= 1
@@ -188,14 +212,23 @@ func jaccardTokens(as, bs []string) float64 {
 	for _, t := range bs {
 		set[t] |= 2
 	}
-	inter, union := 0, 0
 	for _, m := range set {
 		union++
 		if m == 3 {
 			inter++
 		}
 	}
-	return float64(inter) / float64(union)
+	return inter, union
+}
+
+// contains reports whether toks holds t.
+func contains(toks []string, t string) bool {
+	for _, x := range toks {
+		if x == t {
+			return true
+		}
+	}
+	return false
 }
 
 // tokenPrefix reports whether token slice a is a prefix of token slice b.

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -796,7 +795,3 @@ func (s *DiskStore) SortedTokens() []string {
 	sort.Strings(out)
 	return out
 }
-
-// normalizeSpace matches text.Span.NormText's whitespace collapsing, so
-// ingest-time normalized tokens equal query-time NormalizedTokens(NormText()).
-func normalizeSpace(s string) string { return strings.Join(strings.Fields(s), " ") }

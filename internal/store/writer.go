@@ -10,6 +10,7 @@ import (
 
 	"iflex/internal/markup"
 	"iflex/internal/similarity"
+	"iflex/internal/text"
 )
 
 // Manifest describes a disk store; it is written as manifest.json at
@@ -185,7 +186,7 @@ func buildRecord(id, raw string, intern func(string) uint32) (rec []byte, textLe
 	for i, t := range block {
 		blockIDs[i] = intern(t)
 	}
-	norm := similarity.NormalizedTokens(normalizeSpace(c.Text))
+	norm := similarity.NormalizedTokens(text.NormalizeSpace(c.Text))
 	normIDs := make([]uint32, len(norm))
 	for i, t := range norm {
 		normIDs[i] = intern(t)

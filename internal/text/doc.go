@@ -23,6 +23,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode"
 )
 
 // MarkKind identifies a style or structural region of a document.
@@ -417,7 +418,51 @@ func (d *Document) ResidentBytes() int64 {
 	return b
 }
 
-// normalizeSpace collapses runs of whitespace to single spaces and trims.
-func normalizeSpace(s string) string {
+// NormalizeSpace collapses runs of whitespace (unicode.IsSpace) to single
+// spaces and trims, exactly as strings.Join(strings.Fields(s), " "). Text
+// that is already normal — ASCII only, no tab, newline, vertical tab, form
+// feed or carriage return, and no leading, trailing or doubled space — is
+// returned as is, without allocating. It is the one normalizer of the
+// system: Span.NormText and the stores' ingest-time token lists both use
+// it, so stored and live normalized tokens cannot disagree.
+func NormalizeSpace(s string) string {
+	if isNormalSpace(s) {
+		return s
+	}
 	return strings.Join(strings.Fields(s), " ")
+}
+
+// IsBlank reports whether s holds only whitespace (unicode.IsSpace), i.e.
+// whether NormalizeSpace(s) is empty, without building that string.
+func IsBlank(s string) bool {
+	for _, r := range s {
+		if !unicode.IsSpace(r) {
+			return false
+		}
+	}
+	return true
+}
+
+// isNormalSpace reports whether s is ASCII with single interior spaces as
+// its only whitespace — the strings NormalizeSpace leaves unchanged and
+// recognizes without decoding runes.
+func isNormalSpace(s string) bool {
+	if s == "" {
+		return true
+	}
+	if s[0] == ' ' || s[len(s)-1] == ' ' {
+		return false
+	}
+	prev := byte(0)
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c >= 0x80, c >= '\t' && c <= '\r':
+			return false
+		case c == ' ' && prev == ' ':
+			return false
+		}
+		prev = c
+	}
+	return true
 }

@@ -31,7 +31,7 @@ func (s Span) Len() int { return s.end - s.start }
 func (s Span) Text() string { return s.doc.content().text[s.start:s.end] }
 
 // NormText returns the span text with whitespace runs collapsed and trimmed.
-func (s Span) NormText() string { return normalizeSpace(s.Text()) }
+func (s Span) NormText() string { return NormalizeSpace(s.Text()) }
 
 // String formats the span for debugging: doc id, range and text.
 func (s Span) String() string {
@@ -133,10 +133,19 @@ func (s Span) Numeric() (float64, bool) {
 
 // ParseNumeric parses a string as a tolerant number: optional leading '$',
 // optional sign, digits with ',' thousands separators and at most one '.'.
+//
+// Text that cannot be a number is rejected before any copy or
+// strconv.ParseFloat call, so the common non-numeric value costs no
+// allocation. The rule looks at the first byte after the trim, the '$'
+// and one optional sign: strconv.ParseFloat accepts at most one sign,
+// then either a digit, a '.', or the words "inf"/"infinity"/"nan" in any
+// case; ',' is kept because the separators are removed before parsing
+// (",5" parses as 5). Any string ParseFloat accepts therefore starts with
+// one of 0-9 . , i I n N after its sign, and the rule never rejects one.
 func ParseNumeric(raw string) (float64, bool) {
 	t := strings.TrimSpace(raw)
 	t = strings.TrimPrefix(t, "$")
-	if t == "" {
+	if !numericStart(t) {
 		return 0, false
 	}
 	t = strings.ReplaceAll(t, ",", "")
@@ -145,6 +154,22 @@ func ParseNumeric(raw string) (float64, bool) {
 		return 0, false
 	}
 	return v, true
+}
+
+// numericStart reports whether t, after one optional sign, begins with a
+// byte a number accepted by ParseNumeric can begin with.
+func numericStart(t string) bool {
+	if t != "" && (t[0] == '+' || t[0] == '-') {
+		t = t[1:]
+	}
+	if t == "" {
+		return false
+	}
+	switch c := t[0]; {
+	case c >= '0' && c <= '9', c == '.', c == ',', c == 'i', c == 'I', c == 'n', c == 'N':
+		return true
+	}
+	return false
 }
 
 // CompareSpans orders spans by document id, then start, then end.
